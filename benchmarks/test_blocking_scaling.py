@@ -8,9 +8,9 @@ Two curves, emitted as ``BENCH_blocking.json`` so CI can track them:
   the persistent pool, with the per-stage breakdown (dispatch, IPC sample,
   compute, merge) recorded per worker count.
 * **Warm cache load**: best-of-3 wall clock of a full load from the
-  row-range-chunked layout vs the legacy flat single archive, plus the lazy
-  single-shard load that only touches one chunk — the case the chunked
-  layout exists for.
+  row-range-chunked cache vs ``np.load`` of the same arrays written once as
+  a single flat archive, plus the lazy single-shard load that only touches
+  one chunk — the case the chunked layout exists for.
 
 Correctness gates always apply (every worker count must produce the
 identical candidate-pair list; chunked, flat and lazy loads must serve
@@ -19,7 +19,7 @@ identical arrays).  *Performance* gates only apply when
 cannot meaningfully enforce them:
 
 * workers=4 must not be slower than the serial reference pass;
-* the chunked full load must stay within 1.5x of the flat full load.
+* the chunked full load must stay within 1.5x of the single-archive load.
 
 ``REPRO_BENCH_SCALE`` multiplies the tiled row counts (default 1.0) so a
 beefy runner can push the sweep to larger tables.
@@ -152,12 +152,15 @@ def test_blocking_scaling(domains, harness_config):
 
     # ------------------------------------------------------------------
     # Warm-load comparison (best of 3): chunked (full + one lazy shard) vs
-    # legacy flat.  The entry is tiled to the sweep's row count so it spans
-    # many chunks — the table shape the chunked layout exists for.
+    # one flat archive of the same arrays.  The entry is tiled to the
+    # sweep's row count so it spans many chunks — the table shape the
+    # chunked layout exists for.
     # ------------------------------------------------------------------
     import tempfile
 
+    from repro.data.schema import Record, Table
     from repro.engine import TableEncodings
+    from repro.nn.serialization import save_state_dict
 
     repeats = -(-LEFT_ROWS // len(left))  # ceil
     big = TableEncodings(
@@ -167,13 +170,23 @@ def test_blocking_scaling(domains, harness_config):
         sigma=np.tile(left.sigma, (repeats, 1, 1))[:LEFT_ROWS],
         row_index={key: row for row, key in enumerate(query_keys)},
     )
+    source = domain.task.left.records()
+    tiled_table = Table(
+        f"{domain.task.left.name}-tiled",
+        domain.task.left.attributes,
+        [Record(key, source[row % len(source)].values) for row, key in enumerate(query_keys)],
+    )
     with tempfile.TemporaryDirectory(prefix="blocking-bench-cache") as tmp:
-        cache = PersistentEncodingCache(Path(tmp), chunk_rows=CHUNK_ROWS)
+        cache = PersistentEncodingCache(Path(tmp) / "chunked", chunk_rows=CHUNK_ROWS)
         version = representation.encoding_version
-        fingerprint = encoding_fingerprint(representation, domain.task.left)
-        cache.save(domain.task.name, "left", version, fingerprint, big)
-        flat_cache = PersistentEncodingCache(Path(tmp) / "flat", chunk_rows=CHUNK_ROWS)
-        flat_cache.save_flat(domain.task.name, "left", version, fingerprint, big)
+        fingerprint = encoding_fingerprint(representation, tiled_table)
+        cache.save(domain.task.name, "left", version, fingerprint, big, table=tiled_table)
+        flat_path = Path(tmp) / "flat.npz"
+        save_state_dict({"irs": big.irs, "mu": big.mu, "sigma": big.sigma}, flat_path)
+
+        def _load_flat():
+            with np.load(flat_path, allow_pickle=False) as archive:
+                return {name: archive[name] for name in ("irs", "mu", "sigma")}
 
         chunked_full_seconds, chunked_full = _best_of(
             3, lambda: cache.load(domain.task.name, "left", version, fingerprint)
@@ -188,15 +201,11 @@ def test_blocking_scaling(domains, harness_config):
         )
         assert counters.chunk_loads == 3, "a one-shard load must read exactly one chunk"
 
-        # The legacy reader is private by design (it only exists as the
-        # migration path); timing it here is the whole point of the curve.
-        flat_full_seconds, flat_full = _best_of(
-            3, lambda: flat_cache._load_flat(domain.task.name, "left", version, fingerprint)
-        )
+        flat_full_seconds, flat_full = _best_of(3, _load_flat)
 
-        assert chunked_full is not None and flat_full is not None and one_shard is not None
-        np.testing.assert_array_equal(chunked_full.mu, flat_full.mu)
-        np.testing.assert_array_equal(one_shard.mu, flat_full.mu[:CHUNK_ROWS])
+        assert chunked_full is not None and one_shard is not None
+        np.testing.assert_array_equal(chunked_full.mu, flat_full["mu"])
+        np.testing.assert_array_equal(one_shard.mu, flat_full["mu"][:CHUNK_ROWS])
         total_chunks = len(list(cache.dir_for(domain.task.name, "left", version).glob("chunk-*.npz")))
         assert total_chunks == -(-LEFT_ROWS // CHUNK_ROWS), "entry must span many chunks"
 

@@ -8,7 +8,7 @@ planned and executed*:
   featurisation and scoring;
 * :class:`PersistentEncodingCache` — on-disk extension of the store's cache,
   row-range-chunked (``<task>/<side>-vN/chunk-<a>-<b>.npz`` + manifest) so
-  warm loads are lazy per shard; legacy flat archives migrate on first read;
+  warm loads are lazy per shard; entries in any other format are misses;
 * :class:`ResolutionPlanner` / :class:`ResolutionExecutor` — the plan/execute
   core: a deterministic encode → block → score stage graph over row-range
   shards, run serially or across a *persistent* worker pool (fork-based with
@@ -34,7 +34,6 @@ here, not in the pipeline stages that consume the encodings.
 
 from repro.engine.persist import (
     DEFAULT_CHUNK_ROWS,
-    CacheDelta,
     PersistentEncodingCache,
     RowDiff,
     TableDelta,
@@ -115,7 +114,6 @@ from repro.engine.stream import (
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "DEFAULT_SHARD_ROWS",
-    "CacheDelta",
     "CodecArray",
     "CodecParams",
     "DeltaBounds",

@@ -17,22 +17,22 @@ version), holding a JSON manifest plus one archive per row-range chunk::
 
     <cache_dir>/
         <task-name>/
-            left-v4/
+            left-v1/
                 manifest.json
                 chunk-0-2048.npz
                 chunk-2048-4096.npz
                 chunk-2048-4096-g1.npz   (superseding generation of a patch)
                 ...
-            right-v4/
+            right-v1/
                 ...
 
 The manifest is written last (write-then-rename), so its presence marks a
 complete entry; readers that find a manifest referencing a missing or
-corrupt chunk treat the whole entry as a miss.  The flat single-archive
-layout of earlier versions (``<task>/<side>-vN.npz``) remains readable: the
-first load that finds one migrates it to the chunked layout in place
-(one-shot) and removes the flat archive.  Format-3 manifests (the chunked
-layout without a mutation layer) are migrated to format 4 on first read.
+corrupt chunk treat the whole entry as a miss.  Exactly one on-disk format
+is read and written (:data:`CACHE_FORMAT_VERSION`): a manifest or chunk in
+any other format is a plain miss, which the store answers by encoding the
+table afresh and rewriting the entry.  The cache is disposable by design,
+so no older format is migrated.
 
 Keying and invalidation rules
 -----------------------------
@@ -48,17 +48,18 @@ or missing chunk, stale manifest — is a miss.  Bumping ``encoding_version``
 therefore never serves stale encodings: the old entries simply stop being
 addressed.
 
-Row-identity mutation layer (format v4)
----------------------------------------
-Format 4 manifests carry a per-row content map instead of only per-chunk
-CRCs: ``row_crcs`` records one CRC per *stored* row (covering that record's
-id and values alone), ``tombstones`` lists stored rows that have been
-deleted from the table, and every chunk entry is ``[start, stop, crc,
-generation]``.  The *stored* layout is append-only — a row keeps its stored
-index forever; deletions tombstone it and edits write a *superseding
-generation* of the chunk holding it (``chunk-a-b-gN.npz``) — while the
-*live* view (stored rows minus tombstones, in stored order) always equals
-the current table.
+Manifest contents
+-----------------
+A manifest carries a per-row content map: ``row_crcs`` records one CRC per
+*stored* row (covering that record's id and values alone), ``tombstones``
+lists stored rows that have been deleted from the table, every chunk entry
+is ``[start, stop, crc, generation]``, and ``codec`` names the encoding
+codec (``raw`` floats, int8 or PQ codes) with its quantization params.
+Every chunk archive repeats the codec name in its own metadata.  The
+*stored* layout is append-only — a row keeps its stored index forever;
+deletions tombstone it and edits write a *superseding generation* of the
+chunk holding it (``chunk-a-b-gN.npz``) — while the *live* view (stored
+rows minus tombstones, in stored order) always equals the current table.
 
 :meth:`PersistentEncodingCache.delta` diffs a manifest against the current
 table *by record id*: surviving rows are matched by key, compared by row
@@ -117,36 +118,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 PathLike = Union[str, Path]
 
-#: Bump when the on-disk layout changes; mismatching entries are treated as
-#: misses, never as errors.  Version 5 adds the codec tier (a per-entry and
-#: per-chunk ``codec`` field plus quantization params, so chunk arrays may
-#: hold int8 codes instead of floats); version 4 added the row-identity
-#: mutation layer (per-row CRCs, tombstones, chunk generations); version 3
-#: had per-chunk content CRCs only.  Both older chunked formats are
-#: migrated to the current one on first read.
+#: The one on-disk format read and written.  Manifests and chunks of any
+#: other format are misses, never errors, and are rewritten on the next save.
+#: Format 5 carries per-row CRCs, tombstones, chunk generations and the codec
+#: tier (a per-entry and per-chunk ``codec`` field plus quantization params,
+#: so chunk arrays may hold int8 or PQ codes instead of floats).
 CACHE_FORMAT_VERSION = 5
 
-#: Format tag of the pre-codec mutation-layer layout (read for migration).
-V4_FORMAT_VERSION = 4
-
-#: Format tag of the pre-mutation chunked layout (read for migration).
-V3_FORMAT_VERSION = 3
-
-#: Format tag of the legacy flat single-archive layout (read for migration).
-FLAT_FORMAT_VERSION = 1
-
-#: Chunk formats the reader accepts: the codec formats plus the two older
-#: chunked formats whose archives are binary-compatible for the raw codec
-#: (migration rewrites manifests only, never chunk files).
-_READABLE_CHUNK_FORMATS = (V3_FORMAT_VERSION, V4_FORMAT_VERSION, CACHE_FORMAT_VERSION)
-
-#: The identity codec: entries without a codec field decode as plain floats.
+#: The identity codec: chunk arrays hold plain floats.
 RAW_CODEC = "raw"
 
 #: Default rows per chunk archive.
 DEFAULT_CHUNK_ROWS = 2048
 
 MANIFEST_NAME = "manifest.json"
+
+#: Chunk archives of an entry.  Deliberately excludes the dot-prefixed
+#: temporary files a concurrent writer renames into place.
+_CHUNK_GLOB = "chunk-*.npz"
 
 _ARRAY_KEYS = ("irs", "mu", "sigma")
 
@@ -235,20 +224,6 @@ def _crc_of_ints(values: Iterable[int]) -> int:
     return int(crc)
 
 
-def _keys_crc(keys: Sequence[object]) -> int:
-    """Fallback chunk CRC over record keys alone.
-
-    Used when :meth:`PersistentEncodingCache.save` is handed encodings with
-    no backing table (synthetic benchmark entries).  Never matches a real
-    :func:`row_range_crc`, so such entries serve full loads but are opaque
-    to delta detection — the safe degradation.
-    """
-    crc = zlib.crc32(b"keys-only")
-    for key in keys:
-        crc = zlib.crc32(str(key).encode("utf-8"), crc)
-    return int(crc)
-
-
 def _encodings_codec(encodings: "TableEncodings") -> Tuple[str, Optional[Dict[str, Any]]]:
     """Codec name and JSON params of in-memory encodings.
 
@@ -290,12 +265,9 @@ def _stored_row(array, position: int) -> np.ndarray:
 
 def _manifest_codec(manifest: Dict[str, Any]) -> Tuple[str, Optional[Dict[str, Any]]]:
     """``(name, params)`` of a normalised manifest's codec field."""
-    codec = manifest.get("codec")
-    if not isinstance(codec, dict):
-        return RAW_CODEC, None
-    name = codec.get("name", RAW_CODEC)
+    codec = manifest["codec"]
     params = codec.get("params")
-    return str(name), params if isinstance(params, dict) else None
+    return codec["name"], params if isinstance(params, dict) else None
 
 
 def encoding_fingerprint(representation: "EntityRepresentationModel", table: "Table") -> Dict[str, Any]:
@@ -325,14 +297,13 @@ class RowDiff:
     All ``old`` positions index the old sequence; all ``new`` positions
     index the current table.  ``survivor_old[j]`` is the old position of the
     current row ``j`` (for ``j < len(survivor_old)``); rows past that are
-    appended.  ``dirty_new`` is ``None`` when the old side carried no
-    per-row CRCs (content comparison impossible — callers must treat every
-    surviving row as potentially dirty at whatever granularity they can).
+    appended.  ``dirty_new`` lists the surviving current rows whose content
+    CRC differs from the old one.
     """
 
     survivor_old: Tuple[int, ...]
     deleted_old: Tuple[int, ...]
-    dirty_new: Optional[Tuple[int, ...]]
+    dirty_new: Tuple[int, ...]
     total_rows: int
 
     @property
@@ -346,7 +317,7 @@ class RowDiff:
 
 def diff_rows(
     old_keys: Sequence[object],
-    old_row_crcs: Optional[Sequence[int]],
+    old_row_crcs: Sequence[int],
     table: "Table",
 ) -> Optional[RowDiff]:
     """Classify every row of ``table`` against an old key/CRC sequence.
@@ -382,17 +353,12 @@ def diff_rows(
         # Landed in the appended region: treat as deleted + re-added.
         deleted_old.append(old_position)
     deleted_old.sort()
-    dirty_new: Optional[Tuple[int, ...]]
-    if old_row_crcs is None:
-        dirty_new = None
-    else:
-        records = table.records()
-        dirty = [
-            new_position
-            for new_position, old_position in enumerate(survivor_old)
-            if record_crc(records[new_position]) != int(old_row_crcs[old_position])
-        ]
-        dirty_new = tuple(dirty)
+    records = table.records()
+    dirty_new = tuple(
+        new_position
+        for new_position, old_position in enumerate(survivor_old)
+        if record_crc(records[new_position]) != int(old_row_crcs[old_position])
+    )
     return RowDiff(
         survivor_old=tuple(survivor_old),
         deleted_old=tuple(deleted_old),
@@ -475,10 +441,6 @@ class TableDelta:
         ]
         stored = [self.survivor_stored[position] for position in positions]
         return tuple(positions), tuple(stored)
-
-
-#: Backwards-compatible alias (pre-mutation name of the probe result).
-CacheDelta = TableDelta
 
 
 #: One member's data layout inside an ``.npz``: (data offset, dtype, shape,
@@ -760,29 +722,19 @@ class PersistentEncodingCache:
         """Archive path of one row-range chunk generation."""
         return self.dir_for(task_name, side, encoding_version) / self.chunk_name(start, stop, generation)
 
-    def flat_path_for(self, task_name: str, side: str, encoding_version: int) -> Path:
-        """Archive path the legacy flat layout used (migration read path)."""
-        return self.directory / _slug(task_name) / f"{side}-v{int(encoding_version)}.npz"
-
     def entries(self) -> List[Path]:
-        """Every logical entry: chunked-layout manifests plus legacy archives."""
+        """The manifest path of every logical entry."""
         if not self.directory.is_dir():
             return []
-        manifests = list(self.directory.glob(f"*/*/{MANIFEST_NAME}"))
-        flats = list(self.directory.glob("*/*.npz"))
-        return sorted(manifests + flats)
+        return sorted(self.directory.glob(f"*/*/{MANIFEST_NAME}"))
 
     def clear(self) -> int:
         """Delete every entry; returns how many logical entries were removed."""
         close_chunk_handles()
-        removed = 0
-        for entry in self.entries():
-            removed += 1
-            if entry.name == MANIFEST_NAME:
-                self._remove_chunk_dir(entry.parent)
-            else:
-                entry.unlink()
-        return removed
+        entries = self.entries()
+        for entry in entries:
+            self._remove_chunk_dir(entry.parent)
+        return len(entries)
 
     @staticmethod
     def _remove_chunk_dir(chunk_dir: Path, dry_run: bool = False) -> int:
@@ -812,79 +764,53 @@ class PersistentEncodingCache:
     def describe_entries(self) -> List[Dict[str, Any]]:
         """One summary row per logical entry (the ``repro cache list`` data).
 
-        Chunked entries report live rows, tombstones, chunk count, the
-        number of distinct chunk generations referenced by the manifest,
-        on-disk bytes (stale generations included — what ``prune`` would
-        reclaim) and the fingerprint CRCs; legacy flat archives report what
-        their metadata carries.  Unreadable entries are listed with
-        ``rows == None`` rather than skipped, so stale garbage is visible.
+        Each row reports live rows, tombstones, chunk count, the number of
+        distinct chunk generations referenced by the manifest, on-disk chunk
+        bytes (stale generations included — what ``prune`` would reclaim)
+        and the fingerprint CRCs.  Unreadable entries, and entries in any
+        other format, are listed with ``rows == None`` rather than skipped,
+        so stale garbage is visible.
         """
         rows: List[Dict[str, Any]] = []
         for entry in self.entries():
-            if entry.name == MANIFEST_NAME:
-                chunk_dir = entry.parent
-                task = chunk_dir.parent.name
-                parsed = self._parse_generation(chunk_dir.name) or (chunk_dir.name, -1)
-                side, version = parsed
-                total_bytes = sum(p.stat().st_size for p in chunk_dir.glob("*.npz"))
-                manifest = self._normalise_manifest(self._read_json(entry))
-                if manifest is not None:
-                    fingerprint = manifest.get("fingerprint", {})
-                    chunks = manifest["chunks"]
-                    # What the entry would occupy fully rehydrated: the
-                    # float64 size of the stored shapes, codec-independent —
-                    # against on-disk bytes it shows the compression ratio.
-                    decoded_bytes = sum(
-                        8 * _element_count(tuple(int(d) for d in shape))
-                        for shape in manifest["shapes"].values()
-                    )
-                    rows.append({
-                        "task": task, "side": side, "version": version, "layout": "chunked",
-                        "rows": len(manifest["keys"]) - len(manifest["tombstones"]),
-                        "tombstones": len(manifest["tombstones"]),
-                        "chunks": len(chunks),
-                        "generations": len({int(chunk[3]) for chunk in chunks}) if chunks else 0,
-                        "bytes": total_bytes,
-                        "codec": _manifest_codec(manifest)[0],
-                        "decoded_bytes": decoded_bytes,
-                        # Compression vs raw float64: decoded size over the
-                        # stored chunk bytes (~1.0 for raw entries — npz
-                        # framing only; >1 for coded entries).
-                        "compression_ratio": (
-                            round(decoded_bytes / total_bytes, 2) if total_bytes else None
-                        ),
-                        "content_crc": fingerprint.get("content_crc"),
-                        "weights_crc": (fingerprint.get("model") or {}).get("weights_crc"),
-                    })
-                else:
-                    rows.append({
-                        "task": task, "side": side, "version": version, "layout": "chunked",
-                        "rows": None, "tombstones": None, "chunks": None, "generations": None,
-                        "bytes": total_bytes, "codec": None, "decoded_bytes": None,
-                        "compression_ratio": None,
-                        "content_crc": None, "weights_crc": None,
-                    })
-            else:
-                task = entry.parent.name
-                parsed = self._parse_generation(entry.stem) or (entry.stem, -1)
-                side, version = parsed
-                try:
-                    metadata = load_metadata(entry) or {}
-                    fingerprint = metadata.get("fingerprint") or {}
-                    keys = metadata.get("keys")
-                except _LOAD_ERRORS:
-                    metadata, fingerprint, keys = {}, {}, None
-                rows.append({
-                    "task": task, "side": side, "version": version, "layout": "flat",
-                    "rows": len(keys) if isinstance(keys, list) else None,
-                    "tombstones": None, "chunks": None, "generations": None,
-                    "bytes": entry.stat().st_size,
-                    "codec": RAW_CODEC if metadata else None, "decoded_bytes": None,
-                    "compression_ratio": None,
-                    "content_crc": fingerprint.get("content_crc") if isinstance(fingerprint, dict) else None,
-                    "weights_crc": (fingerprint.get("model") or {}).get("weights_crc")
-                    if isinstance(fingerprint, dict) else None,
+            chunk_dir = entry.parent
+            side, version = self._parse_generation(chunk_dir.name) or (chunk_dir.name, -1)
+            row: Dict[str, Any] = {
+                "task": chunk_dir.parent.name, "side": side, "version": version,
+                "rows": None, "tombstones": None, "chunks": None, "generations": None,
+                "bytes": sum(p.stat().st_size for p in chunk_dir.glob(_CHUNK_GLOB)),
+                "codec": None, "decoded_bytes": None, "compression_ratio": None,
+                "content_crc": None, "weights_crc": None,
+            }
+            manifest = self._normalise_manifest(self._read_json(entry))
+            if manifest is not None:
+                fingerprint = manifest.get("fingerprint", {})
+                chunks = manifest["chunks"]
+                # What the entry would occupy fully rehydrated: the float64
+                # size of the stored shapes, codec-independent — against
+                # on-disk bytes it shows the compression ratio.
+                decoded_bytes = sum(
+                    8 * _element_count(tuple(int(d) for d in shape))
+                    for shape in manifest["shapes"].values()
+                )
+                total_bytes = row["bytes"]
+                row.update({
+                    "rows": len(manifest["keys"]) - len(manifest["tombstones"]),
+                    "tombstones": len(manifest["tombstones"]),
+                    "chunks": len(chunks),
+                    "generations": len({int(chunk[3]) for chunk in chunks}) if chunks else 0,
+                    "codec": _manifest_codec(manifest)[0],
+                    "decoded_bytes": decoded_bytes,
+                    # Compression vs raw float64: decoded size over the
+                    # stored chunk bytes (~1.0 for raw entries — npz framing
+                    # only; >1 for coded entries).
+                    "compression_ratio": (
+                        round(decoded_bytes / total_bytes, 2) if total_bytes else None
+                    ),
+                    "content_crc": fingerprint.get("content_crc"),
+                    "weights_crc": (fingerprint.get("model") or {}).get("weights_crc"),
                 })
+            rows.append(row)
         return rows
 
     def verify_entries(self) -> List[Dict[str, Any]]:
@@ -893,105 +819,80 @@ class PersistentEncodingCache:
         Runs the exact validation :meth:`load` performs — structural
         manifest checks via ``_normalise_manifest``, then each referenced
         chunk's embedded metadata against the manifest's expectations
-        (task, side, model fingerprint, row range, per-chunk CRC,
+        (format, task, side, model fingerprint, row range, per-chunk CRC,
         generation, codec) — but *without* materialising any arrays, so an
         operator can audit a multi-gigabyte shared cache directory in
         manifest-and-header time.  Returns one report per logical entry::
 
-            {"task", "side", "version", "layout",
-             "chunks_checked", "ok", "problems": [...]}
+            {"task", "side", "version", "chunks_checked", "ok", "problems": [...]}
 
         An entry with ``ok == False`` is exactly one that ``load`` would
         treat as a miss (and a distributed worker would refuse to attach).
         """
         reports: List[Dict[str, Any]] = []
         for entry in self.entries():
-            if entry.name == MANIFEST_NAME:
-                chunk_dir = entry.parent
-                task_dir = chunk_dir.parent.name
-                side, version = self._parse_generation(chunk_dir.name) or (chunk_dir.name, -1)
-                problems: List[str] = []
-                checked = 0
-                manifest = self._normalise_manifest(self._read_json(entry))
-                if manifest is None:
-                    problems.append("manifest unreadable or structurally invalid")
-                else:
-                    task = manifest.get("task", task_dir)
-                    fingerprint = manifest.get("fingerprint")
-                    model = fingerprint.get("model") if isinstance(fingerprint, dict) else None
-                    codec = _manifest_codec(manifest)[0]
-                    if manifest.get("side") not in (None, side):
-                        problems.append(
-                            f"manifest side {manifest.get('side')!r} does not match "
-                            f"directory {side!r}"
-                        )
-                    for start, stop, row_crc, generation in (
-                        tuple(chunk) for chunk in manifest["chunks"]
-                    ):
-                        checked += 1
-                        path = chunk_dir / self.chunk_name(start, stop, generation)
-                        name = path.name
-                        if not path.is_file():
-                            problems.append(f"{name}: missing chunk archive")
-                            continue
-                        try:
-                            metadata = load_metadata(path)
-                        except _LOAD_ERRORS:
-                            metadata = None
-                        if metadata is None:
-                            problems.append(f"{name}: chunk metadata unreadable (torn write?)")
-                        elif not self._chunk_metadata_valid(
-                            metadata, task, side, model, start, stop, row_crc, generation, codec
-                        ):
-                            problems.append(
-                                f"{name}: chunk metadata does not match manifest "
-                                "(fingerprint, row range, CRC, generation or codec)"
-                            )
-                reports.append({
-                    "task": task_dir, "side": side, "version": version, "layout": "chunked",
-                    "chunks_checked": checked, "ok": not problems, "problems": problems,
-                })
+            chunk_dir = entry.parent
+            task_dir = chunk_dir.parent.name
+            side, version = self._parse_generation(chunk_dir.name) or (chunk_dir.name, -1)
+            problems: List[str] = []
+            checked = 0
+            manifest = self._normalise_manifest(self._read_json(entry))
+            if manifest is None:
+                problems.append("manifest unreadable or structurally invalid")
             else:
-                task_dir = entry.parent.name
-                side, version = self._parse_generation(entry.stem) or (entry.stem, -1)
-                problems = []
-                try:
-                    metadata = load_metadata(entry)
-                except _LOAD_ERRORS:
-                    metadata = None
-                if metadata is None:
-                    problems.append("flat archive metadata unreadable")
-                elif metadata.get("format") != FLAT_FORMAT_VERSION:
+                task = manifest.get("task", task_dir)
+                fingerprint = manifest.get("fingerprint")
+                model = fingerprint.get("model") if isinstance(fingerprint, dict) else None
+                codec = _manifest_codec(manifest)[0]
+                if manifest.get("side") not in (None, side):
                     problems.append(
-                        f"flat archive format {metadata.get('format')!r} is not readable"
+                        f"manifest side {manifest.get('side')!r} does not match "
+                        f"directory {side!r}"
                     )
-                reports.append({
-                    "task": task_dir, "side": side, "version": version, "layout": "flat",
-                    "chunks_checked": 0, "ok": not problems, "problems": problems,
-                })
+                for start, stop, row_crc, generation in manifest["chunks"]:
+                    checked += 1
+                    path = chunk_dir / self.chunk_name(start, stop, generation)
+                    name = path.name
+                    if not path.is_file():
+                        problems.append(f"{name}: missing chunk archive")
+                        continue
+                    try:
+                        metadata = load_metadata(path)
+                    except _LOAD_ERRORS:
+                        metadata = None
+                    if metadata is None:
+                        problems.append(f"{name}: chunk metadata unreadable (torn write?)")
+                    elif not self._chunk_metadata_valid(
+                        metadata, task, side, model, start, stop, row_crc, generation, codec
+                    ):
+                        problems.append(
+                            f"{name}: chunk metadata does not match manifest "
+                            "(format, fingerprint, row range, CRC, generation or codec)"
+                        )
+            reports.append({
+                "task": task_dir, "side": side, "version": version,
+                "chunks_checked": checked, "ok": not problems, "problems": problems,
+            })
         return reports
 
     def prune(self, dry_run: bool = False) -> Dict[str, Any]:
         """Remove stale generations (the ``repro cache prune`` action).
 
         For each ``(task, side)`` only the highest ``-vN`` generation is
-        kept (chunked preferred over flat at equal version); within kept
-        chunked entries, chunk archives no longer referenced by the manifest
-        — superseded chunk generations and leftovers of abandoned extensions
-        — are removed too.  With ``dry_run`` nothing is deleted; the counts
-        report what a real prune would remove.
+        kept; within kept entries, chunk archives no longer referenced by
+        the manifest — superseded chunk generations and leftovers of
+        abandoned extensions — are removed too.  A concurrent writer's
+        in-flight temporary chunk file is never touched.  With ``dry_run``
+        nothing is deleted; the counts report what a real prune would
+        remove.
         """
-        generations: Dict[Tuple[str, str], List[Tuple[int, int, Path]]] = {}
+        generations: Dict[Tuple[str, str], List[Tuple[int, Path]]] = {}
         for entry in self.entries():
-            if entry.name == MANIFEST_NAME:
-                task, stem, preference = entry.parent.parent.name, entry.parent.name, 1
-            else:
-                task, stem, preference = entry.parent.name, entry.stem, 0
-            parsed = self._parse_generation(stem)
+            parsed = self._parse_generation(entry.parent.name)
             if parsed is None:
                 continue
             side, version = parsed
-            generations.setdefault((task, side), []).append((version, preference, entry))
+            generations.setdefault((entry.parent.parent.name, side), []).append((version, entry))
         removed: Dict[str, Any] = {"entries": 0, "files": 0, "bytes": 0, "bytes_by_codec": {}}
 
         def _count_codec(codec: str, nbytes: int) -> None:
@@ -1000,27 +901,16 @@ class PersistentEncodingCache:
 
         for group in generations.values():
             group.sort()
-            for version, preference, entry in group[:-1]:
+            for _, entry in group[:-1]:
                 removed["entries"] += 1
-                if entry.name == MANIFEST_NAME:
-                    stale = self._normalise_manifest(self._read_json(entry))
-                    codec = _manifest_codec(stale)[0] if stale is not None else "unknown"
-                    removed["files"] += len(list(entry.parent.glob("*"))) if entry.parent.is_dir() else 0
-                    reclaimed = self._remove_chunk_dir(entry.parent, dry_run=dry_run)
-                    removed["bytes"] += reclaimed
-                    _count_codec(codec, reclaimed)
-                else:
-                    size = entry.stat().st_size
-                    removed["files"] += 1
-                    removed["bytes"] += size
-                    _count_codec(RAW_CODEC, size)
-                    if not dry_run:
-                        invalidate_chunk_handles([entry])
-                        entry.unlink()
+                stale = self._normalise_manifest(self._read_json(entry))
+                codec = _manifest_codec(stale)[0] if stale is not None else "unknown"
+                removed["files"] += len(list(entry.parent.glob("*"))) if entry.parent.is_dir() else 0
+                reclaimed = self._remove_chunk_dir(entry.parent, dry_run=dry_run)
+                removed["bytes"] += reclaimed
+                _count_codec(codec, reclaimed)
             # Sweep unreferenced chunk archives out of the surviving entry.
-            _, _, kept = group[-1]
-            if kept.name != MANIFEST_NAME:
-                continue
+            _, kept = group[-1]
             manifest = self._normalise_manifest(self._read_json(kept))
             if manifest is None:
                 continue
@@ -1028,7 +918,7 @@ class PersistentEncodingCache:
                 self.chunk_name(int(a), int(b), int(gen))
                 for a, b, _, gen in manifest["chunks"]
             }
-            for chunk in kept.parent.glob("*.npz"):
+            for chunk in kept.parent.glob(_CHUNK_GLOB):
                 if chunk.name not in referenced:
                     size = chunk.stat().st_size
                     removed["files"] += 1
@@ -1049,7 +939,7 @@ class PersistentEncodingCache:
         encoding_version: int,
         fingerprint: Dict[str, Any],
         encodings: "TableEncodings",
-        table: Optional["Table"] = None,
+        table: "Table",
     ) -> Path:
         """Persist one table's encodings in row-range chunks; returns the manifest path.
 
@@ -1058,29 +948,26 @@ class PersistentEncodingCache:
         never observe a partial entry: either the manifest is present and
         every chunk it references is complete, or the entry misses.
 
-        ``table`` supplies the per-row and per-chunk content CRCs that make
-        the entry delta-probeable; without it (synthetic encodings in tests
-        and benchmarks) chunks are addressed by their keys alone and only
-        serve full loads.
+        ``table`` is the table the encodings were computed from, row for
+        row; it supplies the per-row and per-chunk content CRCs that make
+        the entry delta-probeable.  Raises ``ValueError`` when its length
+        differs from the encodings'.
         """
         n = len(encodings)
+        if len(table) != n:
+            raise ValueError(f"table has {len(table)} rows but encodings have {n}")
         codec_name, codec_params = _encodings_codec(encodings)
         bounds = [
             (start, min(start + self.chunk_rows, n))
             for start in range(0, n, self.chunk_rows)
         ]
         chunks = [
-            [start, stop, self._range_crc(table, encodings, start, stop), 0]
+            [start, stop, row_range_crc(table, start, stop), 0]
             for start, stop in bounds
         ]
         self._write_chunks(
             task_name, side, encoding_version, fingerprint, encodings, chunks, 0,
             codec=codec_name,
-        )
-        row_crcs = (
-            table_row_crcs(table)
-            if table is not None and len(table) == len(encodings)
-            else None
         )
         manifest = {
             "format": CACHE_FORMAT_VERSION,
@@ -1089,7 +976,7 @@ class PersistentEncodingCache:
             "encoding_version": int(encoding_version),
             "fingerprint": fingerprint,
             "keys": [str(key) for key in encodings.keys],
-            "row_crcs": row_crcs,
+            "row_crcs": table_row_crcs(table),
             "tombstones": [],
             "chunk_rows": int(self.chunk_rows),
             "chunks": chunks,
@@ -1149,17 +1036,9 @@ class PersistentEncodingCache:
             task_name, side, encoding_version, fingerprint, tail, new_chunks, stored,
             codec=tail_codec,
         )
-        old_row_crcs = old.get("row_crcs")
-        if old_row_crcs is None and not old["tombstones"]:
-            # Migrated-v3 entry: the delta proved every stored row clean, so
-            # the per-row CRCs are recoverable from the current table.
-            records = table.records()
-            old_row_crcs = [record_crc(records[j]) for j in range(delta.base_rows)]
-        row_crcs = (
-            list(old_row_crcs) + [record_crc(record) for record in table.records()[delta.base_rows:]]
-            if old_row_crcs is not None
-            else None
-        )
+        row_crcs = list(old["row_crcs"]) + [
+            record_crc(record) for record in table.records()[delta.base_rows:]
+        ]
         keys = [str(key) for key in old["keys"]] + [str(key) for key in tail.keys]
         shapes = {
             name: [stored + appended] + [int(d) for d in old["shapes"][name][1:]]
@@ -1177,7 +1056,7 @@ class PersistentEncodingCache:
             "chunk_rows": int(self.chunk_rows),
             "chunks": [list(chunk) for chunk in old["chunks"]] + new_chunks,
             "shapes": shapes,
-            "codec": dict(old.get("codec") or {"name": RAW_CODEC, "params": None}),
+            "codec": dict(old["codec"]),
         }
         return self._write_manifest(task_name, side, encoding_version, manifest)
 
@@ -1231,16 +1110,14 @@ class PersistentEncodingCache:
             for position, stored_index in enumerate(delta.survivor_stored)
         }
         records = table.records()
-        old_row_crcs = old.get("row_crcs")
+        old_row_crcs = old["row_crcs"]
         row_crcs: List[int] = []
         for stored_index in range(stored):
             position = current_of_stored.get(stored_index)
             if position is not None:
                 row_crcs.append(record_crc(records[position]))
-            elif old_row_crcs is not None:
-                row_crcs.append(int(old_row_crcs[stored_index]))
             else:
-                row_crcs.append(0)
+                row_crcs.append(int(old_row_crcs[stored_index]))
 
         # Superseding generations for chunks holding dirty rows.
         dirty_stored = {
@@ -1342,7 +1219,7 @@ class PersistentEncodingCache:
             "chunk_rows": int(self.chunk_rows),
             "chunks": chunks + appended_chunks,
             "shapes": shapes,
-            "codec": dict(old.get("codec") or {"name": RAW_CODEC, "params": None}),
+            "codec": dict(old["codec"]),
         }
         path = self._write_manifest(task_name, side, encoding_version, manifest)
         # The old generations are dead the moment the manifest lands: no
@@ -1354,14 +1231,6 @@ class PersistentEncodingCache:
             "rows_tombstoned": len(new_dead),
             "chunks_appended": len(appended_chunks),
         }
-
-    @staticmethod
-    def _range_crc(
-        table: Optional["Table"], encodings: "TableEncodings", start: int, stop: int
-    ) -> int:
-        if table is not None and len(table) == len(encodings):
-            return row_range_crc(table, start, stop)
-        return _keys_crc(encodings.keys[start:stop])
 
     def _write_chunks(
         self,
@@ -1440,35 +1309,6 @@ class PersistentEncodingCache:
         os.replace(temporary, manifest_path)
         return manifest_path
 
-    def save_flat(
-        self,
-        task_name: str,
-        side: str,
-        encoding_version: int,
-        fingerprint: Dict[str, Any],
-        encodings: "TableEncodings",
-    ) -> Path:
-        """Write an entry in the *legacy* flat single-archive layout.
-
-        Retained so migration can be exercised end to end (tests, and the
-        flat-vs-chunked load benchmark); new entries always go through
-        :meth:`save`.
-        """
-        path = self.flat_path_for(task_name, side, encoding_version)
-        metadata = {
-            "format": FLAT_FORMAT_VERSION,
-            "task": task_name,
-            "side": side,
-            "encoding_version": int(encoding_version),
-            "fingerprint": fingerprint,
-            "keys": [str(key) for key in encodings.keys],
-        }
-        state = {name: getattr(encodings, name) for name in _ARRAY_KEYS}
-        temporary = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
-        save_state_dict(state, temporary, metadata=metadata)
-        os.replace(temporary, path)
-        return path
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
@@ -1479,25 +1319,18 @@ class PersistentEncodingCache:
         encoding_version: int,
         fingerprint: Dict[str, Any],
         counters: Optional["EngineCounters"] = None,
-        table: Optional["Table"] = None,
     ) -> Optional["TableEncodings"]:
         """Load a matching entry in full, or ``None`` on any kind of miss.
 
-        Corrupt or foreign entries are treated as misses rather than errors:
-        a cache must never be able to fail a resolution run.  A legacy flat
-        archive found under the key is migrated to the chunked layout on the
-        way through; a format-3 manifest is rewritten as format 4 (one-shot)
-        — when ``table`` is supplied, its per-row CRCs are recovered on the
-        spot (the matched fingerprint proves the content identical), making
-        the migrated entry fully delta-probeable.
+        Corrupt, foreign or other-format entries are treated as misses
+        rather than errors: a cache must never be able to fail a resolution
+        run.
         """
         manifest = self._read_manifest(task_name, side, encoding_version, fingerprint)
-        if manifest is not None:
-            if manifest.get("_migrated_from") in (V3_FORMAT_VERSION, V4_FORMAT_VERSION):
-                manifest = self._migrate_manifest(task_name, side, encoding_version, manifest, table)
-            live = len(manifest["keys"]) - len(manifest["tombstones"])
-            return self._load_rows(manifest, task_name, side, encoding_version, 0, live, counters)
-        return self._migrate_flat(task_name, side, encoding_version, fingerprint)
+        if manifest is None:
+            return None
+        live = len(manifest["keys"]) - len(manifest["tombstones"])
+        return self._load_rows(manifest, task_name, side, encoding_version, 0, live, counters)
 
     def load_range(
         self,
@@ -1520,14 +1353,9 @@ class PersistentEncodingCache:
         if start < 0 or stop < start:
             raise ValueError(f"invalid row range [{start}, {stop})")
         manifest = self._read_manifest(task_name, side, encoding_version, fingerprint)
-        if manifest is not None:
-            live = len(manifest["keys"]) - len(manifest["tombstones"])
-            stop = min(stop, live)
-            return self._load_rows(manifest, task_name, side, encoding_version, start, stop, counters)
-        migrated = self._migrate_flat(task_name, side, encoding_version, fingerprint)
-        if migrated is None:
+        if manifest is None:
             return None
-        return _slice_encodings(migrated, start, min(stop, len(migrated)))
+        return self._load_rows(manifest, task_name, side, encoding_version, start, stop, counters)
 
     # ------------------------------------------------------------------
     # Delta probing (the incremental-resolution entry point)
@@ -1547,9 +1375,6 @@ class PersistentEncodingCache:
         live rows against the table by record id: surviving rows are
         compared by per-row CRC (clean or *dirty*), vanished rows become
         ``deleted_rows``, and trailing new rows the ``appended_range``.
-        Entries without per-row CRCs (migrated v3, keys-only saves) degrade
-        to chunk-granular validation: a chunk with any deletion, or whose
-        range CRC no longer matches, marks all its surviving rows dirty.
         Returns ``None`` when nothing is reusable (no clean surviving rows).
         """
         manifest = self._read_manifest_loose(task_name, side, encoding_version)
@@ -1564,19 +1389,13 @@ class PersistentEncodingCache:
         stored_keys = manifest["keys"]
         live_stored = [i for i in range(len(stored_keys)) if i not in tombstones]
         live_keys = [stored_keys[i] for i in live_stored]
-        row_crcs = manifest.get("row_crcs")
-        live_crcs = [row_crcs[i] for i in live_stored] if row_crcs is not None else None
-        diff = diff_rows(live_keys, live_crcs, table)
+        row_crcs = manifest["row_crcs"]
+        diff = diff_rows(live_keys, [row_crcs[i] for i in live_stored], table)
         if diff is None:
             return None
         survivor_stored = tuple(live_stored[j] for j in diff.survivor_old)
         deleted_rows = tuple(live_stored[j] for j in diff.deleted_old)
-        if diff.dirty_new is not None:
-            dirty_positions = list(diff.dirty_new)
-        else:
-            dirty_positions = self._chunk_granular_dirty(
-                manifest, table, survivor_stored, deleted_rows, tombstones
-            )
+        dirty_positions = diff.dirty_new
         if len(dirty_positions) >= len(survivor_stored):
             return None  # nothing provably clean to reuse
         dirty_stored = {survivor_stored[position] for position in dirty_positions}
@@ -1595,40 +1414,6 @@ class PersistentEncodingCache:
             survivor_stored=survivor_stored,
             total_rows=len(table),
         )
-
-    @staticmethod
-    def _chunk_granular_dirty(
-        manifest: Dict[str, Any],
-        table: "Table",
-        survivor_stored: Tuple[int, ...],
-        deleted_rows: Tuple[int, ...],
-        tombstones: set,
-    ) -> List[int]:
-        """Dirty current positions for entries without per-row CRCs.
-
-        Chunk-level fallback: a chunk validates only when every stored row in
-        it is live and surviving *and* the running CRC over the corresponding
-        current rows matches the chunk CRC recorded at save time.  Any other
-        chunk marks all its surviving rows dirty (a safe over-approximation —
-        at worst chunk-aligned re-encoding instead of row-exact).
-        """
-        position_of_stored = {
-            stored_index: position for position, stored_index in enumerate(survivor_stored)
-        }
-        dead = tombstones | set(deleted_rows)
-        dirty: List[int] = []
-        for chunk_start, chunk_stop, chunk_crc, _generation in manifest["chunks"]:
-            chunk_start, chunk_stop = int(chunk_start), int(chunk_stop)
-            rows = range(chunk_start, chunk_stop)
-            surviving = [position_of_stored[i] for i in rows if i in position_of_stored]
-            if not surviving:
-                continue
-            if dead.isdisjoint(rows) and len(surviving) == len(rows):
-                # All rows present: surviving positions are contiguous.
-                if row_range_crc(table, surviving[0], surviving[-1] + 1) == int(chunk_crc):
-                    continue
-            dirty.extend(surviving)
-        return dirty
 
     def load_prefix(
         self,
@@ -1698,12 +1483,7 @@ class PersistentEncodingCache:
         self, task_name: str, side: str, encoding_version: int
     ) -> Optional[Dict[str, Any]]:
         """A structurally valid manifest of a key, *without* checking the
-        table fingerprint — the delta probe validates content row-wise.
-
-        Format-3 manifests are normalised to the v4 shape in memory (chunk
-        generation 0, no tombstones, no per-row CRCs) and tagged with
-        ``_migrated_from`` so :meth:`load` can persist the upgrade.
-        """
+        table fingerprint — the delta probe validates content row-wise."""
         path = self.manifest_path(task_name, side, encoding_version)
         manifest = self._normalise_manifest(self._read_json(path))
         if manifest is None:
@@ -1719,36 +1499,12 @@ class PersistentEncodingCache:
 
     @staticmethod
     def _normalise_manifest(manifest: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-        """Structural validation plus in-memory v3/v4 -> v5 normalisation.
+        """The manifest if it is a structurally valid current-format one, else ``None``.
 
-        Both older chunked formats normalise to the current shape without
-        touching disk: v3 gains empty tombstones, chunk generations and (no)
-        per-row CRCs; v3 and v4 alike gain the implicit ``raw`` codec their
-        float chunks were written under.  The ``_migrated_from`` tag lets
-        :meth:`load` persist the upgrade one-shot.
+        Any other format — including every older one — is rejected here, so
+        it reaches callers as a plain miss.
         """
-        if not isinstance(manifest, dict):
-            return None
-        fmt = manifest.get("format")
-        if fmt == V3_FORMAT_VERSION:
-            chunks = manifest.get("chunks")
-            if not isinstance(chunks, list):
-                return None
-            manifest = dict(
-                manifest,
-                chunks=[list(chunk) + [0] for chunk in chunks if isinstance(chunk, list)],
-                row_crcs=None,
-                tombstones=[],
-                codec={"name": RAW_CODEC, "params": None},
-                _migrated_from=V3_FORMAT_VERSION,
-            )
-        elif fmt == V4_FORMAT_VERSION:
-            manifest = dict(
-                manifest,
-                codec={"name": RAW_CODEC, "params": None},
-                _migrated_from=V4_FORMAT_VERSION,
-            )
-        elif fmt != CACHE_FORMAT_VERSION:
+        if not isinstance(manifest, dict) or manifest.get("format") != CACHE_FORMAT_VERSION:
             return None
         codec = manifest.get("codec")
         if not (isinstance(codec, dict) and isinstance(codec.get("name"), str)):
@@ -1770,7 +1526,7 @@ class PersistentEncodingCache:
             return None
         if len(set(tombstones)) != len(tombstones):
             return None
-        if row_crcs is not None and (
+        if (
             not isinstance(row_crcs, list)
             or len(row_crcs) != len(keys)
             # A corrupt element would otherwise surface as a raise deep in
@@ -1793,31 +1549,6 @@ class PersistentEncodingCache:
         if position != len(keys):
             return None
         return manifest
-
-    def _migrate_manifest(
-        self,
-        task_name: str,
-        side: str,
-        encoding_version: int,
-        manifest: Dict[str, Any],
-        table: Optional["Table"],
-    ) -> Dict[str, Any]:
-        """Persist the v5 upgrade of a normalised v3/v4 manifest (one-shot).
-
-        Chunk archives are untouched — only the manifest is rewritten, so
-        the served arrays are byte-identical before and after migration
-        (the implicit codec of both older formats is ``raw``).  For a v3
-        entry whose per-row CRCs are missing, the caller has already
-        matched the full fingerprint, so when the table is in hand its
-        per-row CRCs describe the stored content exactly and the migrated
-        entry becomes row-precisely probeable.
-        """
-        upgraded = {key: value for key, value in manifest.items() if key != "_migrated_from"}
-        upgraded["format"] = CACHE_FORMAT_VERSION
-        if upgraded.get("row_crcs") is None and table is not None and len(table) == len(manifest["keys"]):
-            upgraded["row_crcs"] = table_row_crcs(table)
-        self._write_manifest(task_name, side, encoding_version, upgraded)
-        return upgraded
 
     def _live_stored_indices(self, manifest: Dict[str, Any]) -> List[int]:
         """Stored index of every live row, ascending (live -> stored map)."""
@@ -2009,7 +1740,7 @@ class PersistentEncodingCache:
     ) -> bool:
         """Whether one chunk's embedded metadata matches what the manifest expects."""
         try:
-            if metadata.get("format") not in _READABLE_CHUNK_FORMATS:
+            if metadata.get("format") != CACHE_FORMAT_VERSION:
                 return False
             if metadata.get("task") != task_name or metadata.get("side") != side:
                 return False
@@ -2021,68 +1752,11 @@ class PersistentEncodingCache:
                 return False
             if int(metadata.get("generation", 0)) != int(generation):
                 return False
-            # Pre-codec chunks carry no codec tag: they are implicitly raw.
-            if str(metadata.get("codec", RAW_CODEC)) != str(codec):
+            if metadata.get("codec") != codec:
                 return False
         except (TypeError, ValueError):
             return False
         return True
-
-    # ------------------------------------------------------------------
-    # Legacy flat layout: one-shot migration read path
-    # ------------------------------------------------------------------
-    def _migrate_flat(
-        self, task_name: str, side: str, encoding_version: int, fingerprint: Dict[str, Any]
-    ) -> Optional["TableEncodings"]:
-        """Serve a legacy flat archive, rewriting it as a chunked entry.
-
-        The migration has no table in hand, so the rewritten chunks carry
-        keys-only CRCs: the entry serves full loads but stays opaque to
-        delta probes until the next real (table-backed) save refreshes it.
-        """
-        encodings = self._load_flat(task_name, side, encoding_version, fingerprint)
-        if encodings is None:
-            return None
-        self.save(task_name, side, encoding_version, fingerprint, encodings)
-        try:
-            self.flat_path_for(task_name, side, encoding_version).unlink()
-        except OSError:  # pragma: no cover - concurrent migration already removed it
-            pass
-        return encodings
-
-    def _load_flat(
-        self, task_name: str, side: str, encoding_version: int, fingerprint: Dict[str, Any]
-    ) -> Optional["TableEncodings"]:
-        """Reader for the pre-chunking single-archive layout."""
-        from repro.engine.store import TableEncodings
-
-        path = self.flat_path_for(task_name, side, encoding_version)
-        if not path.is_file():
-            return None
-        try:
-            metadata = load_metadata(path)
-            if metadata is None or metadata.get("format") != FLAT_FORMAT_VERSION:
-                return None
-            if metadata.get("task") != task_name or metadata.get("side") != side:
-                return None
-            if int(metadata.get("encoding_version", -1)) != int(encoding_version):
-                return None
-            if metadata.get("fingerprint") != fingerprint:
-                return None
-            keys = tuple(metadata["keys"])
-            with np.load(path, allow_pickle=False) as archive:
-                arrays = {name: archive[name] for name in _ARRAY_KEYS}
-        except _LOAD_ERRORS:
-            return None
-        if len(keys) != arrays["irs"].shape[0]:
-            return None
-        return TableEncodings(
-            keys=keys,
-            irs=arrays["irs"],
-            mu=arrays["mu"],
-            sigma=arrays["sigma"],
-            row_index={key: row for row, key in enumerate(keys)},
-        )
 
     def __repr__(self) -> str:
         return (

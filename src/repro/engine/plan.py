@@ -1608,11 +1608,11 @@ def resolve_delta(
         }
         if left_diff is not None:
             base_left = left_diff.appended_range[0]
-            dirty_left = len(left_diff.dirty_new or ())
+            dirty_left = len(left_diff.dirty_new)
             deleted_left = len(left_diff.deleted_old)
         if right_diff is not None:
             base_right = right_diff.appended_range[0]
-            dirty_right = len(right_diff.dirty_new or ())
+            dirty_right = len(right_diff.dirty_new)
             deleted_right = len(right_diff.deleted_old)
         index_reusable = baseline.index_usable(pinned, blocking, right_diff)
     plan = ResolutionPlanner.from_store(

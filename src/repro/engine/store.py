@@ -422,7 +422,6 @@ class EncodingStore:
         diff = diff_rows(cached.keys, memo.row_crcs, table)
         if diff is None:
             return None
-        assert diff.dirty_new is not None  # memo always carries row CRCs
         self._adopt_params(side, cached)
         base, total = diff.appended_range
         encode_positions = list(diff.dirty_new) + list(range(base, total))
@@ -460,7 +459,6 @@ class EncodingStore:
             self.representation.encoding_version,
             fingerprint,
             counters=self.counters,
-            table=table,
         )
         if loaded is not None:
             self._adopt_params(side, loaded)

@@ -122,4 +122,3 @@ class TestCacheVerify:
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 2
         assert {row["side"] for row in rows} == {"left", "right"}
-        assert all(row["layout"] == "chunked" for row in rows)

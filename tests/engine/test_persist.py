@@ -18,8 +18,10 @@ from repro.engine import (
     encoding_fingerprint,
     row_range_crc,
 )
-from repro.engine.persist import MANIFEST_NAME
+from repro.cli import main
+from repro.engine.persist import MANIFEST_NAME, close_chunk_handles
 from repro.eval.timing import EngineCounters
+from repro.nn.serialization import load_metadata, load_state_dict, save_state_dict
 
 
 @pytest.fixture()
@@ -626,17 +628,6 @@ class TestDeltaProbeAndExtend:
         assert cache.prune() == preview
         assert not stray.is_file()
 
-    def test_keys_only_entries_are_opaque_to_delta(self, tmp_path):
-        """Entries saved without a table (synthetic benchmarks) serve full
-        loads but never claim a delta prefix."""
-        cache = self._cache(tmp_path)
-        table = _synthetic_table(20)
-        encodings = _synthetic_encodings(20)
-        fingerprint = _synthetic_fingerprint(table)
-        cache.save("t", "right", 1, fingerprint, encodings)  # note: no table=
-        assert cache.load("t", "right", 1, fingerprint) is not None
-        assert cache.delta("t", "right", 1, fingerprint, table) is None
-
 
 class TestCacheInspection:
     def test_describe_entries_reports_layout(self, tiny_domain, tiny_representation, small_chunk_cache):
@@ -647,7 +638,6 @@ class TestCacheInspection:
         assert {row["side"] for row in rows} == {"left", "right"}
         for row in rows:
             assert row["task"] == tiny_domain.task.name
-            assert row["layout"] == "chunked"
             assert row["rows"] > 0 and row["chunks"] > 1 and row["bytes"] > 0
             assert row["content_crc"] is not None and row["weights_crc"] is not None
 
@@ -678,238 +668,111 @@ class TestCacheInspection:
         # The referenced chunks still serve.
         assert cache.load("t", "right", 1, _synthetic_fingerprint(table)) is not None
 
-
-class TestV3ManifestMigration:
-    """Format-3 (pre-mutation) manifests are upgraded to the current format
-    on first read."""
-
-    CHUNK = 8
-
-    def _v3_entry(self, tmp_path, n=20):
-        """Write a current-format entry, then rewrite its manifest in the v3 shape."""
-        cache = PersistentEncodingCache(tmp_path / "v3", chunk_rows=self.CHUNK)
-        table = _synthetic_table(n)
-        encodings = _synthetic_encodings(n)
-        fingerprint = _synthetic_fingerprint(table)
-        cache.save("t", "right", 1, fingerprint, encodings, table=table)
-        manifest_path = cache.manifest_path("t", "right", 1)
-        manifest = json.loads(manifest_path.read_text())
-        downgraded = {
-            key: value
-            for key, value in manifest.items()
-            if key not in ("row_crcs", "tombstones")
-        }
-        downgraded["format"] = 3
-        downgraded.pop("codec", None)
-        downgraded["chunks"] = [chunk[:3] for chunk in manifest["chunks"]]
-        manifest_path.write_text(json.dumps(downgraded))
-        return cache, table, encodings, fingerprint
-
-    def test_v3_manifest_migrates_on_first_load(self, tmp_path):
-        cache, table, encodings, fingerprint = self._v3_entry(tmp_path)
-        loaded = cache.load("t", "right", 1, fingerprint, table=table)
-        assert loaded is not None
-        manifest = json.loads(cache.manifest_path("t", "right", 1).read_text())
-        assert manifest["format"] == 5
-        assert manifest["tombstones"] == []
-        assert [chunk[3] for chunk in manifest["chunks"]] == [0, 0, 0]
-        # With the table in hand, the migration recovers per-row CRCs, so the
-        # entry is immediately row-precisely delta-probeable.
-        from repro.engine import table_row_crcs
-
-        assert manifest["row_crcs"] == table_row_crcs(table)
-        table.replace(Record("r7", ("EDITED", "beta-7")))
-        delta = cache.delta("t", "right", 1, _synthetic_fingerprint(table), table)
-        assert delta is not None and delta.dirty_ranges == ((7, 8),)
-
-    def test_v3_migration_preserves_arrays_byte_identically(self, tmp_path):
-        """Mirror of the flat->chunked byte-identity test: migration rewrites
-        only the manifest, so every served array is bit-for-bit unchanged."""
-        cache, table, encodings, fingerprint = self._v3_entry(tmp_path)
-        chunk_bytes = {
-            path.name: path.read_bytes()
-            for path in cache.dir_for("t", "right", 1).glob("chunk-*.npz")
-        }
-        migrated = cache.load("t", "right", 1, fingerprint, table=table)
-        reloaded = cache.load("t", "right", 1, fingerprint)
-        for served in (migrated, reloaded):
-            assert served is not None
-            assert served.keys == encodings.keys
-            for name in ("irs", "mu", "sigma"):
-                original = np.ascontiguousarray(getattr(encodings, name))
-                roundtripped = np.ascontiguousarray(np.asarray(getattr(served, name)))
-                assert original.dtype == roundtripped.dtype
-                assert original.shape == roundtripped.shape
-                assert original.tobytes() == roundtripped.tobytes()
-        # The chunk archives themselves were not rewritten at all.
-        for path in cache.dir_for("t", "right", 1).glob("chunk-*.npz"):
-            assert path.read_bytes() == chunk_bytes[path.name]
-
-    def test_v3_probe_without_row_crcs_degrades_to_chunk_granularity(self, tmp_path):
-        """A delta probe hitting a not-yet-migrated v3 manifest still works:
-        edits dirty their whole chunk (safe over-approximation), appends stay
-        row-exact."""
-        cache, table, _, _ = self._v3_entry(tmp_path)
-        table.replace(Record("r10", ("EDITED", "beta-10")))
-        for i in range(20, 23):
-            table.add(Record(f"r{i}", (f"alpha-{i}", f"beta-{i}")))
-        delta = cache.delta("t", "right", 1, _synthetic_fingerprint(table), table)
-        assert delta is not None
-        assert delta.dirty_ranges == ((8, 16),)  # chunk-aligned, not row-exact
-        assert delta.appended_range == (20, 23)
+    def test_prune_and_describe_leave_in_flight_temp_chunks_alone(self, tmp_path):
+        """A concurrent writer's temporary chunk (renamed into place only
+        once complete) is neither swept by prune nor counted as entry bytes."""
+        cache = PersistentEncodingCache(tmp_path / "inflight", chunk_rows=8)
+        table = _synthetic_table(20)
+        cache.save("t", "right", 1, _synthetic_fingerprint(table), _synthetic_encodings(20), table=table)
+        [before] = cache.describe_entries()
+        temporary = cache.dir_for("t", "right", 1) / ".chunk-16-24.4242.tmp.npz"
+        temporary.write_bytes(b"\0" * 100)
+        [after] = cache.describe_entries()
+        assert after["bytes"] == before["bytes"]
+        nothing = {"entries": 0, "files": 0, "bytes": 0, "bytes_by_codec": {}}
+        assert cache.prune(dry_run=True) == nothing
+        assert cache.prune() == nothing
+        assert temporary.is_file()
 
 
-class TestV4ManifestMigration:
-    """Format-4 (pre-codec) manifests are upgraded to format 5 on first
-    read; the float chunk archives themselves are never rewritten, so the
-    ``raw``-codec migration is byte-identical."""
-
-    CHUNK = 8
-
-    def _v4_entry(self, tmp_path, n=20):
-        """Write a current-format entry, then rewrite its manifest in the v4
-        shape (everything format 5 has, minus the ``codec`` field)."""
-        cache = PersistentEncodingCache(tmp_path / "v4", chunk_rows=self.CHUNK)
-        table = _synthetic_table(n)
-        encodings = _synthetic_encodings(n)
-        fingerprint = _synthetic_fingerprint(table)
-        cache.save("t", "right", 1, fingerprint, encodings, table=table)
-        manifest_path = cache.manifest_path("t", "right", 1)
-        manifest = json.loads(manifest_path.read_text())
-        downgraded = dict(manifest, format=4)
-        downgraded.pop("codec", None)
-        manifest_path.write_text(json.dumps(downgraded))
-        return cache, table, encodings, fingerprint
-
-    def test_v4_manifest_migrates_on_first_load(self, tmp_path):
-        cache, table, encodings, fingerprint = self._v4_entry(tmp_path)
-        loaded = cache.load("t", "right", 1, fingerprint, table=table)
-        assert loaded is not None
-        manifest = json.loads(cache.manifest_path("t", "right", 1).read_text())
-        assert manifest["format"] == 5
-        assert manifest["codec"] == {"name": "raw", "params": None}
-        # v4 already carried row CRCs and tombstones; migration must not
-        # degrade either.
-        from repro.engine import table_row_crcs
-
-        assert manifest["row_crcs"] == table_row_crcs(table)
-        assert manifest["tombstones"] == []
-
-    def test_v4_migration_preserves_arrays_byte_identically(self, tmp_path):
-        """The codec migration rewrites only the manifest: every chunk file
-        on disk and every served array is bit-for-bit unchanged."""
-        cache, table, encodings, fingerprint = self._v4_entry(tmp_path)
-        chunk_bytes = {
-            path.name: path.read_bytes()
-            for path in cache.dir_for("t", "right", 1).glob("chunk-*.npz")
-        }
-        migrated = cache.load("t", "right", 1, fingerprint, table=table)
-        reloaded = cache.load("t", "right", 1, fingerprint)
-        for served in (migrated, reloaded):
-            assert served is not None
-            assert served.keys == encodings.keys
-            for name in ("irs", "mu", "sigma"):
-                original = np.ascontiguousarray(getattr(encodings, name))
-                roundtripped = np.ascontiguousarray(np.asarray(getattr(served, name)))
-                assert original.dtype == roundtripped.dtype
-                assert original.shape == roundtripped.shape
-                assert original.tobytes() == roundtripped.tobytes()
-        for path in cache.dir_for("t", "right", 1).glob("chunk-*.npz"):
-            assert path.read_bytes() == chunk_bytes[path.name]
-
-    def test_v4_entry_stays_row_precisely_delta_probeable(self, tmp_path):
-        """v4 manifests carry row CRCs, so a delta probe against one (before
-        any migrating load) is row-exact — no degradation to chunks."""
-        cache, table, _, _ = self._v4_entry(tmp_path)
-        table.replace(Record("r7", ("EDITED", "beta-7")))
-        for i in range(20, 23):
-            table.add(Record(f"r{i}", (f"alpha-{i}", f"beta-{i}")))
-        delta = cache.delta("t", "right", 1, _synthetic_fingerprint(table), table)
-        assert delta is not None
-        assert delta.dirty_ranges == ((7, 8),)  # row-exact, unlike v3
-        assert delta.appended_range == (20, 23)
-
-    def test_v4_migration_survives_describe_and_prune(self, tmp_path):
-        """Inspection tools treat a not-yet-migrated v4 entry as raw codec."""
-        cache, table, _, fingerprint = self._v4_entry(tmp_path)
-        rows = cache.describe_entries()
-        assert len(rows) == 1 and rows[0]["codec"] == "raw"
-        assert rows[0]["decoded_bytes"] is not None
-        removed = cache.prune(dry_run=True)
-        assert removed["entries"] == 0 and removed["bytes_by_codec"] == {}
-        assert cache.load("t", "right", 1, fingerprint, table=table) is not None
+def _format4_manifest(cache, task_name, side, version):
+    """A format-4 manifest: the current one minus its codec field."""
+    path = cache.manifest_path(task_name, side, version)
+    manifest = json.loads(path.read_text())
+    manifest["format"] = 4
+    manifest.pop("codec")
+    path.write_text(json.dumps(manifest))
 
 
-class TestFlatLayoutMigration:
-    def _flat_entry(self, cache, tiny_domain, tiny_representation):
-        """Write a legacy flat archive for the left side and return its key."""
-        plain = EncodingStore(tiny_representation, tiny_domain.task, counters=EngineCounters())
-        encodings = plain.table_encodings("left")
+def _null_row_crcs(cache, task_name, side, version):
+    """A current-format manifest without per-row CRCs (a keys-only entry)."""
+    path = cache.manifest_path(task_name, side, version)
+    manifest = json.loads(path.read_text())
+    manifest["row_crcs"] = None
+    path.write_text(json.dumps(manifest))
+
+
+def _format4_chunk(cache, task_name, side, version):
+    """A current-format manifest over a chunk whose metadata says format 4
+    and carries no codec tag."""
+    chunk = _chunks_of(cache, task_name, side, version)[0]
+    metadata = dict(load_metadata(chunk), format=4)
+    metadata.pop("codec")
+    save_state_dict(load_state_dict(chunk), chunk, metadata=metadata)
+
+
+class TestOtherFormatsMiss:
+    """The cache reads exactly one format: any other manifest or chunk is a
+    plain miss, which the store answers by rewriting the entry."""
+
+    @pytest.mark.parametrize(
+        "downgrade",
+        [_format4_manifest, _null_row_crcs, _format4_chunk],
+        ids=["format4-manifest", "null-row-crcs", "format4-chunk"],
+    )
+    def test_entry_is_a_miss_and_rewritten_as_current_format(
+        self, downgrade, tiny_domain, tiny_representation, small_chunk_cache, capsys
+    ):
+        task = tiny_domain.task
         version = tiny_representation.encoding_version
-        fingerprint = encoding_fingerprint(tiny_representation, tiny_domain.task.left)
-        cache.save_flat(tiny_domain.task.name, "left", version, fingerprint, encodings)
-        return encodings, version, fingerprint
+        cold = _store(tiny_representation, task, small_chunk_cache).table_encodings("left")
+        fingerprint = encoding_fingerprint(tiny_representation, task.left)
+        downgrade(small_chunk_cache, task.name, "left", version)
+        close_chunk_handles()
 
-    def test_flat_archive_migrates_on_first_load(self, tiny_domain, tiny_representation, small_chunk_cache):
-        encodings, version, fingerprint = self._flat_entry(
-            small_chunk_cache, tiny_domain, tiny_representation
-        )
-        flat_path = small_chunk_cache.flat_path_for(tiny_domain.task.name, "left", version)
-        assert flat_path.is_file()
-        loaded = small_chunk_cache.load(tiny_domain.task.name, "left", version, fingerprint)
-        assert loaded is not None
-        np.testing.assert_array_equal(loaded.mu, encodings.mu)
-        # One-shot migration: the flat archive became a chunked entry.
-        assert not flat_path.is_file()
-        assert small_chunk_cache.manifest_path(tiny_domain.task.name, "left", version).is_file()
-        assert len(_chunks_of(small_chunk_cache, tiny_domain.task.name, "left", version)) > 1
-        # Second load is served from chunks (counted as chunk loads).
-        counters = EngineCounters()
-        again = small_chunk_cache.load(
-            tiny_domain.task.name, "left", version, fingerprint, counters=counters
-        )
-        assert again is not None and counters.chunk_loads > 1
-        np.testing.assert_array_equal(again.mu, encodings.mu)
+        assert small_chunk_cache.load(task.name, "left", version, fingerprint) is None
+        delta = small_chunk_cache.delta(task.name, "left", version, fingerprint, task.left)
+        if downgrade is _format4_chunk:
+            # The probe reads the manifest only; the chunk is rejected when
+            # the reusable rows are loaded.
+            assert delta is not None
+            assert small_chunk_cache.load_reused(task.name, "left", version, delta) is None
+        else:
+            assert delta is None
+        [report] = small_chunk_cache.verify_entries()
+        assert report["ok"] is False and report["problems"]
+        directory = str(small_chunk_cache.directory)
+        assert main(["cache", "list", "--cache-dir", directory]) == 0
+        assert main(["cache", "verify", "--cache-dir", directory]) == 1
+        assert main(["cache", "prune", "--cache-dir", directory]) == 0
+        assert "FAIL" in capsys.readouterr().out
 
-    def test_flat_archive_serves_range_loads_via_migration(
-        self, tiny_domain, tiny_representation, small_chunk_cache
-    ):
-        encodings, version, fingerprint = self._flat_entry(
-            small_chunk_cache, tiny_domain, tiny_representation
+        store = _store(tiny_representation, task, small_chunk_cache)
+        served = store.table_encodings("left")
+        assert store.counters.disk_misses == 1 and store.counters.tables_encoded == 1
+        manifest = json.loads(
+            small_chunk_cache.manifest_path(task.name, "left", version).read_text()
         )
-        loaded = small_chunk_cache.load_range(
-            tiny_domain.task.name, "left", version, fingerprint, 16, 32
-        )
-        assert loaded is not None
-        np.testing.assert_array_equal(loaded.mu, encodings.mu[16:32])
-        assert not small_chunk_cache.flat_path_for(tiny_domain.task.name, "left", version).is_file()
-
-    def test_migration_preserves_arrays_byte_identically(
-        self, tiny_domain, tiny_representation, small_chunk_cache
-    ):
-        """save_flat -> chunked migration must not perturb a single byte of
-        any array: the chunked reload equals the original buffers exactly."""
-        encodings, version, fingerprint = self._flat_entry(
-            small_chunk_cache, tiny_domain, tiny_representation
-        )
-        migrated = small_chunk_cache.load(tiny_domain.task.name, "left", version, fingerprint)
-        reloaded = small_chunk_cache.load(tiny_domain.task.name, "left", version, fingerprint)
-        for served in (migrated, reloaded):
-            assert served is not None
-            assert served.keys == encodings.keys
+        assert manifest["format"] == 5 and len(manifest["row_crcs"]) == len(task.left)
+        for chunk in _chunks_of(small_chunk_cache, task.name, "left", version):
+            assert load_metadata(chunk)["format"] == 5
+        assert all(report["ok"] for report in small_chunk_cache.verify_entries())
+        reloaded = small_chunk_cache.load(task.name, "left", version, fingerprint)
+        for encodings in (served, reloaded):
+            assert encodings is not None and encodings.keys == cold.keys
             for name in ("irs", "mu", "sigma"):
-                original = np.ascontiguousarray(getattr(encodings, name))
-                roundtripped = np.ascontiguousarray(np.asarray(getattr(served, name)))
-                assert original.dtype == roundtripped.dtype
-                assert original.shape == roundtripped.shape
-                assert original.tobytes() == roundtripped.tobytes()
+                expected = np.ascontiguousarray(getattr(cold, name))
+                actual = np.ascontiguousarray(np.asarray(getattr(encodings, name)))
+                assert actual.dtype == expected.dtype
+                assert actual.shape == expected.shape
+                assert actual.tobytes() == expected.tobytes()
 
-    def test_foreign_flat_archive_does_not_migrate(self, tiny_domain, tiny_representation, small_chunk_cache):
-        _, version, fingerprint = self._flat_entry(small_chunk_cache, tiny_domain, tiny_representation)
-        tampered = dict(fingerprint, n_records=fingerprint["n_records"] + 1)
-        assert small_chunk_cache.load(tiny_domain.task.name, "left", version, tampered) is None
-        # The mismatching flat archive is left untouched for its real owner.
-        assert small_chunk_cache.flat_path_for(tiny_domain.task.name, "left", version).is_file()
+    def test_save_rejects_table_of_wrong_length(self, tmp_path):
+        cache = PersistentEncodingCache(tmp_path / "mismatch", chunk_rows=8)
+        table = _synthetic_table(19)
+        with pytest.raises(ValueError):
+            cache.save("t", "right", 1, _synthetic_fingerprint(table), _synthetic_encodings(20), table=table)
+        assert cache.entries() == []
 
 
 class TestCrossProcessWarmth:
